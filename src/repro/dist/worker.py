@@ -142,7 +142,7 @@ class ShardHost:
         self.sub = sub
 
         # --- live network (same construction order as run_scenario) --------
-        self.sim = Simulator(queue=config.event_queue)
+        self.sim = Simulator()
         self.bus = TraceBus(keep_routes=False, keep_links=False)
         self.network = Network(
             self.sim,

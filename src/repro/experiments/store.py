@@ -134,7 +134,7 @@ class SweepStore:
             manifest = json.load(f)
         version = manifest.get("format_version")
         if version != FORMAT_VERSION:
-            raise ValueError(
+            raise StoreMismatchError(
                 f"unsupported sweep manifest version {version!r} "
                 f"in {self.manifest_path!r}"
             )
@@ -153,7 +153,13 @@ class SweepStore:
     def load_config(self) -> ExperimentConfig:
         """The configuration recorded in the manifest (for ``--resume``)."""
         manifest = self._manifest or self._read_manifest()
-        return ExperimentConfig.from_dict(manifest["config"])
+        try:
+            return ExperimentConfig.from_dict(manifest["config"])
+        except ValueError as exc:
+            raise StoreMismatchError(
+                f"checkpoint at {self.directory!r} holds a configuration this "
+                f"version cannot load ({exc}); use a fresh directory"
+            ) from exc
 
     def grid(self) -> list[Task]:
         """The full task grid recorded in the manifest."""

@@ -5,12 +5,10 @@ callbacks scheduled at absolute or relative times; ties are broken by
 insertion order so execution is fully deterministic.  Cancellation is done
 lazily: :meth:`EventHandle.cancel` marks the entry and the main loop skips it.
 
-The queue stores plain ``(time, seq, handle)`` tuples behind a pluggable
-backend (see :mod:`repro.sim.eventq`): the default binary heap, or a
-calendar queue tuned for large periodic-timer populations, selected via
-``Simulator(queue="heap"|"calendar")`` or the ``REPRO_EVENT_QUEUE``
-environment variable.  Both backends pop in the identical ``(time, seq)``
-total order, so results are bit-identical under either.
+The queue is one binary heap (:mod:`heapq`) of plain ``(time, seq, handle)``
+tuples, popped in ascending ``(time, seq)`` order by the single dispatch
+loop in :meth:`Simulator.run`.  ``docs/architecture.md`` ("Event queue")
+records why no other queue structure is offered.
 
 Hot-path schedulers that would otherwise allocate a closure per event
 (link serialization/propagation) use :meth:`Simulator.schedule_call`, which
@@ -27,10 +25,8 @@ from __future__ import annotations
 import itertools
 import time as _wallclock
 from dataclasses import dataclass
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Optional
-
-from .eventq import CalendarEventQueue, HeapEventQueue, make_event_queue
 
 __all__ = ["Simulator", "EventHandle", "EventStats", "SimulationError"]
 
@@ -75,7 +71,14 @@ class EventHandle:
 
 @dataclass(frozen=True)
 class EventStats:
-    """Snapshot of scheduler health, taken via :meth:`Simulator.stats`."""
+    """Snapshot of scheduler health, taken via :meth:`Simulator.stats`.
+
+    Fields: ``events_processed`` (callbacks executed), ``cancelled_skipped``
+    (cancelled entries popped and discarded), ``queue_depth_hwm`` (most
+    entries ever in the queue at once, cancelled ones included), ``pending``
+    (entries still queued), ``wall_time`` (seconds spent inside ``run()``)
+    and ``sim_time`` (virtual clock).
+    """
 
     events_processed: int
     cancelled_skipped: int
@@ -83,8 +86,6 @@ class EventStats:
     pending: int
     wall_time: float
     sim_time: float
-    #: Which event-queue backend produced these numbers ("heap"/"calendar").
-    queue_backend: str = "heap"
 
     @property
     def events_per_sec(self) -> float:
@@ -107,15 +108,16 @@ class Simulator:
         sim.schedule(1.5, lambda: print("hello at t=1.5"))
         sim.run()
 
-    ``queue`` selects the event-queue backend (``"heap"`` or
-    ``"calendar"``); ``None`` defers to ``$REPRO_EVENT_QUEUE`` and then the
-    heap default.  Backend choice never changes results, only speed.
+    The queue's high-water mark is sampled before every pop rather than
+    after every push: the depth only falls at a pop, so the maximum of
+    those samples and the current depth is the exact peak, and scheduling
+    stays a single C ``heappush`` with no Python-level call.
     """
 
     __slots__ = (
         "_now",
-        "_queue",
-        "_push",
+        "_heap",
+        "_hwm",
         "_seq",
         "_events_processed",
         "_cancel_skipped",
@@ -124,10 +126,10 @@ class Simulator:
         "_stopped",
     )
 
-    def __init__(self, queue: Optional[str] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
-        self._queue = make_event_queue(queue)
-        self._push = self._queue.push
+        self._heap: list[tuple[float, int, EventHandle]] = []
+        self._hwm = 0
         self._seq = itertools.count()
         self._events_processed = 0
         self._cancel_skipped = 0
@@ -141,11 +143,6 @@ class Simulator:
         return self._now
 
     @property
-    def queue_backend(self) -> str:
-        """Name of the active event-queue backend ("heap" or "calendar")."""
-        return self._queue.name
-
-    @property
     def events_processed(self) -> int:
         """Number of events executed so far (skipped cancellations excluded)."""
         return self._events_processed
@@ -153,7 +150,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of queue entries not yet popped (includes cancelled ones)."""
-        return len(self._queue)
+        return len(self._heap)
 
     @property
     def run_wall_time(self) -> float:
@@ -171,11 +168,10 @@ class Simulator:
         return EventStats(
             events_processed=self._events_processed,
             cancelled_skipped=self._cancel_skipped,
-            queue_depth_hwm=self._queue.hwm,
-            pending=len(self._queue),
+            queue_depth_hwm=max(self._hwm, len(self._heap)),
+            pending=len(self._heap),
             wall_time=self._wall_time,
             sim_time=self._now,
-            queue_backend=self._queue.name,
         )
 
     # ------------------------------------------------------------- scheduling
@@ -188,7 +184,7 @@ class Simulator:
             )
         time = self._now + delay
         handle = EventHandle(time, callback)
-        self._push((time, next(self._seq), handle))
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def schedule_at(self, time: float, callback: Callable[[], None]) -> EventHandle:
@@ -198,7 +194,7 @@ class Simulator:
                 f"time must be finite and >= now, got t={time!r} (now={self._now})"
             )
         handle = EventHandle(time, callback)
-        self._push((time, next(self._seq), handle))
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def schedule_call(
@@ -216,7 +212,7 @@ class Simulator:
             )
         time = self._now + delay
         handle = EventHandle(time, callback, args)
-        self._push((time, next(self._seq), handle))
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def schedule_call_at(
@@ -234,7 +230,7 @@ class Simulator:
                 f"time must be finite and >= now, got t={time!r} (now={self._now})"
             )
         handle = EventHandle(time, callback, args)
-        self._push((time, next(self._seq), handle))
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     def schedule_many(
@@ -247,7 +243,7 @@ class Simulator:
         in input order.
         """
         now = self._now
-        push = self._push
+        heap = self._heap
         seq = self._seq
         handles: list[EventHandle] = []
         for delay, callback in events:
@@ -257,7 +253,7 @@ class Simulator:
                 )
             time = now + delay
             handle = EventHandle(time, callback)
-            push((time, next(seq), handle))
+            heappush(heap, (time, next(seq), handle))
             handles.append(handle)
         return handles
 
@@ -273,7 +269,7 @@ class Simulator:
         without a per-event Python round trip through ``schedule``.
         """
         now = self._now
-        push = self._push
+        heap = self._heap
         seq = self._seq
         handles: list[EventHandle] = []
         for time, callback in events:
@@ -282,7 +278,7 @@ class Simulator:
                     f"time must be finite and >= now, got t={time!r} (now={now})"
                 )
             handle = EventHandle(time, callback)
-            push((time, next(seq), handle))
+            heappush(heap, (time, next(seq), handle))
             handles.append(handle)
         return handles
 
@@ -313,7 +309,7 @@ class Simulator:
         time = self._now + delay
         handle.time = time
         handle._fired = False
-        self._push((time, next(self._seq), handle))
+        heappush(self._heap, (time, next(self._seq), handle))
         return handle
 
     # -------------------------------------------------------------- execution
@@ -324,16 +320,16 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is drained."""
-        queue = self._queue
-        while True:
-            entry = queue.peek()
-            if entry is None:
-                return None
-            if entry[2]._cancelled:
-                queue.pop()
-                self._cancel_skipped += 1
-                continue
-            return entry[0]
+        heap = self._heap
+        while heap:
+            time, _, handle = heap[0]
+            if not handle._cancelled:
+                return time
+            if len(heap) > self._hwm:
+                self._hwm = len(heap)
+            heappop(heap)
+            self._cancel_skipped += 1
+        return None
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:
         """Run events in order until the queue drains, ``until`` is reached,
@@ -354,96 +350,31 @@ class Simulator:
         self._running = True
         self._stopped = False
         executed = 0
-        queue = self._queue
+        heap = self._heap
         started = _wallclock.perf_counter()
         try:
-            if type(queue) is HeapEventQueue:
-                # Inlined heap loop: peek is a plain index and pop the raw
-                # C heappop, saving two method calls per event on the
-                # default backend's hot path.
-                heap = queue._q
-                pop = heappop
-                while heap and not self._stopped:
-                    time, _, handle = heap[0]
-                    if handle._cancelled:
-                        pop(heap)
-                        self._cancel_skipped += 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    pop(heap)
-                    self._now = time
-                    handle._fired = True
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
-                    else:
-                        handle.callback()
-                    executed += 1
-                    self._events_processed += 1
-            elif type(queue) is CalendarEventQueue:
-                # Inlined calendar loop: steady-state consumption is an
-                # index bump into the current sorted run; peek() is only
-                # paid when the run is exhausted and the scan must load
-                # the next bucket-year (CalendarEventQueue.pop keeps its
-                # shrink check in peek() precisely so this stays exact).
-                while not self._stopped:
-                    ci = queue._ci
-                    cur = queue._cur
-                    if ci >= len(cur):
-                        if queue.peek() is None:
-                            break
-                        ci = queue._ci
-                        cur = queue._cur
-                    time, _, handle = cur[ci]
-                    if handle._cancelled:
-                        queue._ci = ci + 1
-                        queue._n -= 1
-                        self._cancel_skipped += 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    queue._ci = ci + 1
-                    queue._n -= 1
-                    self._now = time
-                    handle._fired = True
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
-                    else:
-                        handle.callback()
-                    executed += 1
-                    self._events_processed += 1
-            else:  # pragma: no cover - no third backend ships today
-                peek = queue.peek
-                pop = queue.pop
-                while not self._stopped:
-                    entry = peek()
-                    if entry is None:
-                        break
-                    time, _, handle = entry
-                    if handle._cancelled:
-                        pop()
-                        self._cancel_skipped += 1
-                        continue
-                    if until is not None and time > until:
-                        break
-                    if max_events is not None and executed >= max_events:
-                        break
-                    pop()
-                    self._now = time
-                    handle._fired = True
-                    args = handle.args
-                    if args:
-                        handle.callback(*args)
-                    else:
-                        handle.callback()
-                    executed += 1
-                    self._events_processed += 1
+            while heap and not self._stopped:
+                time, _, handle = heap[0]
+                if len(heap) > self._hwm:
+                    self._hwm = len(heap)
+                if handle._cancelled:
+                    heappop(heap)
+                    self._cancel_skipped += 1
+                    continue
+                if until is not None and time > until:
+                    break
+                if max_events is not None and executed >= max_events:
+                    break
+                heappop(heap)
+                self._now = time
+                handle._fired = True
+                args = handle.args
+                if args:
+                    handle.callback(*args)
+                else:
+                    handle.callback()
+                executed += 1
+                self._events_processed += 1
         finally:
             self._wall_time += _wallclock.perf_counter() - started
             self._running = False

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.store import SweepStore
 
 
 class TestParser:
@@ -115,6 +119,42 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "static" in out
+
+
+class TestSweepCheckpointErrors:
+    """A checkpoint the sweep cannot use exits 2 with one line naming it."""
+
+    SWEEP = ["sweep", "--protocols", "static", "--degrees", "4", "--runs", "1"]
+
+    def _single_error_line(self, capsys) -> str:
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, err
+        return err
+
+    def test_mismatched_config_exits_2(self, capsys, tmp_path):
+        ck = tmp_path / "ck"
+        SweepStore(ck).open(ExperimentConfig.quick().with_(runs=5))
+        assert main([*self.SWEEP, "--checkpoint", str(ck)]) == 2
+        err = self._single_error_line(capsys)
+        assert err.startswith("error: ")
+        assert str(ck) in err
+        assert "different configuration" in err
+
+    def test_manifest_with_removed_field_exits_2_on_resume(self, capsys, tmp_path):
+        # Manifests written before the event-queue option was removed carry
+        # its key; resuming from one must fail cleanly, not with a TypeError.
+        ck = tmp_path / "ck"
+        store = SweepStore(ck)
+        store.open(ExperimentConfig.quick().with_(protocols=("static",)))
+        manifest = json.loads(open(store.manifest_path).read())
+        manifest["config"]["event_queue"] = None
+        with open(store.manifest_path, "w") as f:
+            json.dump(manifest, f)
+        assert main(["sweep", "--checkpoint", str(ck), "--resume"]) == 2
+        err = self._single_error_line(capsys)
+        assert err.startswith("error: ")
+        assert str(ck) in err
+        assert "event_queue" in err
 
 
 class TestWatchCommand:

@@ -130,6 +130,11 @@ class TestConfigDictRoundTrip:
     def test_to_dict_is_json_ready(self):
         json.dumps(TINY.to_dict())
 
+    def test_from_dict_names_unknown_fields(self):
+        data = {**TINY.to_dict(), "no_such_field": None}
+        with pytest.raises(ValueError, match="unknown config field.*no_such_field"):
+            ExperimentConfig.from_dict(data)
+
     def test_unsupported_manifest_version_rejected(self, tmp_path):
         store = make_store(tmp_path)
         manifest = json.loads(open(store.manifest_path).read())
@@ -137,5 +142,5 @@ class TestConfigDictRoundTrip:
         with open(store.manifest_path, "w") as f:
             json.dump(manifest, f)
         fresh = SweepStore(store.directory)
-        with pytest.raises(ValueError):
+        with pytest.raises(StoreMismatchError, match="unsupported sweep manifest"):
             fresh.open(TINY)
