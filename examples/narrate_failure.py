@@ -13,16 +13,11 @@ Run:  python examples/narrate_failure.py [protocol] [degree] [seed]
 import sys
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import make_protocol_factory, _pick_endpoints, _pick_failed_link
+from repro.experiments.scenario import mesh_layout, warm_network
 from repro.metrics.convergence import ConvergenceTracker
 from repro.metrics.narrate import build_timeline, format_timeline
 from repro.net.dynamics import LinkScheduler
-from repro.net.network import Network
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngStreams
 from repro.sim.tracing import TraceBus
-from repro.topology.generators import attach_host
-from repro.topology.mesh import regular_mesh
 from repro.topology.render import render_mesh
 
 
@@ -32,28 +27,18 @@ def main() -> None:
     seed = int(sys.argv[3]) if len(sys.argv) > 3 else 1
 
     config = ExperimentConfig.quick().with_(post_fail_window=60.0)
-    rng_streams = RngStreams(seed)
-    scenario_rng = rng_streams.stream("scenario")
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sr, rr = _pick_endpoints(scenario_rng, config.rows, config.cols)
-    sender = attach_host(topo, sr)
-    receiver = attach_host(topo, rr)
-    pre = topo.shortest_path(sender, receiver)
-    failed = _pick_failed_link(scenario_rng, pre, sender, receiver)
+    layout = mesh_layout(config, degree, seed)
+    sender, receiver, failed = layout.sender, layout.receiver, layout.failed
+    # The first and last hops of the path are the hosts' access links.
+    sr, rr = layout.pre_path[1], layout.pre_path[-2]
 
     print(f"protocol={protocol} degree={degree} seed={seed}")
     print(f"flow: host {sender} (router {sr}) -> host {receiver} (router {rr})")
     print(f"failing link {failed} at t=10.0 (detected +50 ms)\n")
-    print(render_mesh(topo, config.rows, config.cols, failed_link=failed))
+    print(render_mesh(layout.topology, config.rows, config.cols, failed_link=failed))
 
-    sim = Simulator()
     bus = TraceBus(keep_routes=True)
-    net = Network(sim, topo, bus)
-    net.attach_protocols(
-        make_protocol_factory(protocol, net, rng_streams, topo, config)
-    )
-    for node in net.iter_nodes():
-        node.protocol.warm_start(topo)
+    sim, net = warm_network(protocol, layout.topology, seed, config, bus)
     tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
     tracker.seed_from_network(net)
     LinkScheduler(sim, net, detection_delay=0.05).fail_link(*failed, at=10.0)

@@ -671,43 +671,23 @@ def _cmd_topology(args: argparse.Namespace) -> int:
 
 
 def _cmd_narrate(args: argparse.Namespace) -> int:
-    from .experiments.scenario import _pick_endpoints, _pick_failed_link
+    from .experiments.scenario import mesh_layout, warm_network
     from .metrics.convergence import ConvergenceTracker
     from .metrics.narrate import build_timeline, format_timeline
     from .net.dynamics import LinkScheduler
-    from .net.network import Network
-    from .experiments.scenario import make_protocol_factory
-    from .sim.engine import Simulator
-    from .sim.rng import RngStreams
     from .sim.tracing import TraceBus
-    from .topology.generators import attach_host
-    from .topology.mesh import regular_mesh
     from .topology.render import render_mesh
 
     config = _config(args)
-    rng_streams = RngStreams(args.seed)
-    scenario_rng = rng_streams.stream("scenario")
-    topo = regular_mesh(config.rows, config.cols, args.degree)
-    sr, rr = _pick_endpoints(scenario_rng, config.rows, config.cols)
-    sender = attach_host(topo, sr)
-    receiver = attach_host(topo, rr)
-    pre = topo.shortest_path(sender, receiver)
-    assert pre is not None
-    failed = _pick_failed_link(scenario_rng, pre, sender, receiver)
+    layout = mesh_layout(config, args.degree, args.seed)
+    sender, receiver, failed = layout.sender, layout.receiver, layout.failed
 
     print(f"protocol={args.protocol} degree={args.degree} seed={args.seed}")
     print(f"flow: host {sender} -> host {receiver}; failing {failed} at t=10\n")
-    print(render_mesh(topo, config.rows, config.cols, failed_link=failed))
+    print(render_mesh(layout.topology, config.rows, config.cols, failed_link=failed))
 
-    sim = Simulator()
     bus = TraceBus(keep_routes=True)
-    net = Network(sim, topo, bus)
-    net.attach_protocols(
-        make_protocol_factory(args.protocol, net, rng_streams, topo, config)
-    )
-    for node in net.iter_nodes():
-        assert node.protocol is not None
-        node.protocol.warm_start(topo)
+    sim, net = warm_network(args.protocol, layout.topology, args.seed, config, bus)
     tracker = ConvergenceTracker(bus, dest=receiver, src=sender)
     tracker.seed_from_network(net)
     LinkScheduler(sim, net, detection_delay=config.detection_delay).fail_link(

@@ -1,31 +1,26 @@
 """Merge per-shard outputs into one ``ScenarioResult``.
 
-The merge replicates ``run_scenario``'s result assembly field by field:
-counters are sums (every record is observed by exactly one shard), the
-convergence clocks are replayed offline over the merged route-change
-stream, and the conservation / FIB-loop invariants are re-checked from the
-shipped end-of-run state.  The only genuinely order-sensitive step is the
+The merge feeds the single-process result assembler
+(:func:`~repro.experiments.scenario.assemble_result`): counters are sums
+(every record is observed by exactly one shard), the convergence clocks
+are replayed offline over the merged route-change stream, and the
+conservation / FIB-loop invariants are re-checked from the shipped
+end-of-run state.  The only genuinely order-sensitive step is the
 route-record merge; see :func:`merge_route_records` for the tie-break.
 """
 
 from __future__ import annotations
 
-import pickle
 from types import SimpleNamespace
 from typing import Optional
 
-from ..experiments.scenario import ScenarioResult, TopologyEventOutcome
+from ..experiments.scenario import ScenarioResult, assemble_result
 from ..metrics.convergence import (
     ConvergenceTracker,
     NetworkConvergenceWatcher,
     PathSnapshot,
-    attribute_waves,
     walk_forwarding_path,
 )
-from ..metrics.loops import analyze_deliveries
-from ..metrics.manet import analyze_manet
-from ..metrics.reordering import analyze_reordering
-from ..metrics.timeseries import delay_series, throughput_series
 from ..net.packet import reset_packet_ids
 from ..sim.tracing import DropCause, TraceBus
 from ..validation.monitors import (
@@ -146,16 +141,15 @@ def merge_results(
     partition: Partition,
     outputs: list[ShardOutput],
     scheduled,
-    detect_times,
-    first_at: float,
-    first_detect: float,
     validate: bool,
     collect_traces: bool,
 ) -> ScenarioResult:
-    config = spec.config
-    traffic_start = config.traffic_start
-    end_at = config.end_time
     outputs = sorted(outputs, key=lambda o: o.shard_index)
+    # Every event executes in each shard holding its link; all agree.
+    detect_at: dict[int, float] = {}
+    for output in outputs:
+        detect_at.update(output.detect_times)
+    detect_times = [detect_at[index] for index in range(len(scheduled))]
 
     merged_records = merge_route_records(outputs, scheduled, detect_times)
 
@@ -177,75 +171,29 @@ def merge_results(
 
     sent = sum(o.sent for o in outputs)
     delivered = sum(o.delivered for o in outputs)
-    deliveries = outputs[partition.shard_of(spec.receiver)].deliveries
     drops: dict[DropCause, int] = {cause: 0 for cause in DropCause}
-    messages = withdrawals = overhead_messages = overhead_bytes = 0
     for output in outputs:
         for cause, count in output.drops_window.items():
             drops[cause] += count
-        messages += output.messages
-        withdrawals += output.withdrawals
-        overhead_messages += output.overhead_messages
-        overhead_bytes += output.overhead_bytes
-
-    waves = attribute_waves(detect_times, watcher.change_times, end_at)
-    outcomes = tuple(
-        TopologyEventOutcome(
-            kind=e.kind,
-            link=e.link_key,
-            time=e.time,
-            detect_time=dt,
-            wave_start=w[0],
-            wave_end=w[1],
-        )
-        for e, dt, w in zip(scheduled, detect_times, waves)
-    )
-
-    expected_final = spec.expected_final
-    result = ScenarioResult(
-        protocol=spec.protocol,
-        degree=spec.degree,
-        seed=spec.seed,
-        sender=spec.sender,
-        receiver=spec.receiver,
-        initial_path=tuple(spec.pre_path),
-        expected_final_path=expected_final,
-        events=outcomes,
+    result = assemble_result(
+        spec,
+        scheduled,
+        detect_times,
+        tracker,
+        watcher,
+        deliveries=outputs[partition.shard_of(spec.receiver)].deliveries,
         sent=sent,
         delivered=delivered,
-        drops_no_route=drops[DropCause.NO_ROUTE],
-        drops_ttl=drops[DropCause.TTL_EXPIRED],
-        drops_link_down=drops[DropCause.LINK_DOWN],
-        drops_queue=drops[DropCause.QUEUE_OVERFLOW],
-        routing_convergence=watcher.convergence_time(first_detect),
-        destination_convergence=tracker.routing_convergence_time(first_detect),
-        forwarding_convergence=tracker.forwarding_convergence_delay(first_detect),
-        converged_to_expected=(
-            tracker.converged_to(expected_final) if expected_final else False
-        ),
-        transient_path_count=len(tracker.transient_paths(first_at)),
-        throughput=throughput_series(
-            deliveries, traffic_start, end_at, origin=first_at
-        ),
-        delay=delay_series(deliveries, traffic_start, end_at, origin=first_at),
-        messages=messages,
-        withdrawals=withdrawals,
-        reordering=analyze_reordering(deliveries),
-        manet=analyze_manet(
-            sent,
-            deliveries,
-            overhead_messages,
-            control_bytes=overhead_bytes,
-        ),
+        drops=drops,
+        messages=sum(o.messages for o in outputs),
+        withdrawals=sum(o.withdrawals for o in outputs),
+        overhead_messages=sum(o.overhead_messages for o in outputs),
+        overhead_bytes=sum(o.overhead_bytes for o in outputs),
     )
-    if config.record_paths:
-        steady_hops = len(spec.pre_path) - 2
-        result.loop_report = analyze_deliveries(
-            deliveries, shortest_hops=steady_hops
-        )
     if validate:
         result.violations, result.monitor_skips = _offline_violations(
-            spec.protocol, outputs, merged_records, sent, delivered, end_at
+            spec.protocol, outputs, merged_records, sent, delivered,
+            spec.config.end_time,
         )
     if collect_traces:
         result.traces = canonical_trace_streams(

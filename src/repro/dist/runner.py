@@ -38,14 +38,12 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from ..experiments.config import ExperimentConfig
+from ..experiments.scenario import failure_plan, mesh_layout
 from ..obs.registry import MetricsRegistry
-from ..net.dynamics import LinkEvent, SingleLinkFailureDriver
+from ..net.dynamics import LinkEvent
 from ..net.packet import reset_packet_ids
-from ..sim.rng import RngStreams
-from ..topology.generators import attach_host
 from ..topology.graph import Topology
-from ..topology.mesh import regular_mesh
-from .partition import Partition, partition_topology
+from .partition import partition_topology
 from .proxy import Relay, ShardHeartbeat
 from .worker import ShardHost, ShardOutput, ShardPlan, maybe_fault
 
@@ -113,8 +111,8 @@ class ShardStallError(RuntimeError):
 class ShardScenarioSpec:
     """A fully laid-out scenario ready to shard (topology and flow fixed).
 
-    ``run_scenario_sharded`` builds one that replicates ``run_scenario``'s
-    mesh layout; scale tests build their own over generated topologies.
+    ``run_scenario_sharded`` builds one from ``run_scenario``'s own layout
+    and plan; scale tests build their own over generated topologies.
     """
 
     protocol: str
@@ -392,21 +390,7 @@ def run_sharded(
     if config.churn is not None:
         raise ValueError("sharded execution does not support churn configs")
     end_at = config.end_time
-    fail_at = config.fail_time
     scheduled = [e for e in spec.events if e.time < end_at]
-    detect_times = [
-        e.time
-        + (
-            e.detection_delay
-            if e.detection_delay is not None
-            else config.detection_delay
-        )
-        for e in scheduled
-    ]
-    first_at = scheduled[0].time if scheduled else fail_at
-    first_detect = (
-        detect_times[0] if detect_times else fail_at + config.detection_delay
-    )
 
     partition = partition_topology(
         spec.topology, config.shards, strategy=config.partition
@@ -431,7 +415,8 @@ def run_sharded(
             receiver=spec.receiver,
             events=tuple(scheduled),
             traffic_start=config.traffic_start,
-            window_start=fail_at,
+            # The counting window opens at the first event, as in run_plan.
+            window_start=scheduled[0].time if scheduled else config.fail_time,
             end_at=end_at,
             warm_dests=spec.warm_dests,
             collect_traces=collect_traces,
@@ -588,9 +573,6 @@ def run_sharded(
         partition=partition,
         outputs=outputs,
         scheduled=scheduled,
-        detect_times=detect_times,
-        first_at=first_at,
-        first_detect=first_detect,
         validate=config.validate if validate is None else validate,
         collect_traces=collect_traces,
     )
@@ -609,36 +591,21 @@ def run_scenario_sharded(
     heartbeat_interval: float = 1.0,
     registries: Optional[dict[int, MetricsRegistry]] = None,
 ):
-    """Sharded twin of ``run_scenario``: identical mesh layout and schedule."""
-    rng_streams = RngStreams(seed)
-    scenario_rng = rng_streams.stream("scenario")
-    # Layout replicates run_scenario exactly; both must draw the same
-    # topology, endpoints, and failed link from the scenario stream.
-    from ..experiments.scenario import _pick_endpoints, _pick_failed_link
-
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender_router, receiver_router = _pick_endpoints(
-        scenario_rng, config.rows, config.cols
+    """Sharded twin of ``run_scenario``: the same layout and plan."""
+    plan = failure_plan(
+        protocol, degree, seed, config, mesh_layout(config, degree, seed)
     )
-    sender = attach_host(topo, sender_router)
-    receiver = attach_host(topo, receiver_router)
-    pre_path = topo.shortest_path(sender, receiver)
-    assert pre_path is not None, "mesh must be connected"
-    failed = _pick_failed_link(scenario_rng, pre_path, sender, receiver)
-    expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
-    driver = SingleLinkFailureDriver(failed, config.fail_time)
-    events = tuple(driver.generate(config.end_time))
     spec = ShardScenarioSpec(
         protocol=protocol,
         degree=degree,
         seed=seed,
         config=config,
-        topology=topo,
-        sender=sender,
-        receiver=receiver,
-        pre_path=tuple(pre_path),
-        expected_final=tuple(expected_final) if expected_final else None,
-        events=events,
+        topology=plan.topology,
+        sender=plan.sender,
+        receiver=plan.receiver,
+        pre_path=plan.pre_path,
+        expected_final=plan.expected_final,
+        events=plan.events,
     )
     return run_sharded(
         spec,

@@ -6,9 +6,12 @@ exist so the owned side of each cut link has a real :class:`~repro.net.link.
 Link` to serialize onto; the outbound direction is replaced by a
 :class:`~repro.dist.proxy.BoundaryChannel` that relays instead of
 delivering, and reliable-channel messages are captured by the link's
-``message_tap``.  Everything else — protocol construction order, warm
-start, collector wiring — replicates ``run_scenario`` exactly, which is
-what makes the sharded run byte-identical (see docs/distributed.md).
+``message_tap``.  Everything else shares its builder and layout with
+``run_scenario``: the network comes from the same
+:func:`~repro.experiments.scenario.build_network`, and protocol
+construction order, warm start and collector wiring follow
+:func:`~repro.experiments.scenario.run_plan`, which is what makes the
+sharded run byte-identical (see docs/distributed.md).
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..experiments.config import ExperimentConfig
-from ..experiments.scenario import make_protocol_factory
+from ..experiments.scenario import build_network, make_protocol_factory
 from ..metrics.counters import DropCounter, MessageCounter
 from ..net.channels import ReliableChannel
 from ..net.dynamics import LinkEvent, LinkScheduler, ScriptedDriver
-from ..net.network import Network
 from ..sim.engine import EventHandle, Simulator
 from ..sim.rng import RngStreams
 from ..sim.tracing import DropCause, TraceBus
@@ -37,7 +39,6 @@ from ..traffic.sink import PacketSink
 from .proxy import (
     BoundaryChannel,
     MessageRelay,
-    PacketRelay,
     Relay,
     ShardHeartbeat,
     make_message_tap,
@@ -73,7 +74,7 @@ class ShardPlan:
     #: in its sub-topology (cut-link events execute in both shards).
     events: tuple[LinkEvent, ...]
     traffic_start: float
-    #: Post-failure counting window start (== fail time of the scenario).
+    #: Post-failure counting window start (the first event's instant).
     window_start: float
     end_at: float
     #: Restrict warm start to these destinations (BGP, 10k-node runs);
@@ -104,6 +105,9 @@ class ShardOutput:
     initial_next_hops: dict[int, Optional[int]] = field(default_factory=dict)
     #: Owned node -> full FIB copy, post warm start (fib-loop replay).
     initial_fibs: dict[int, dict[int, Optional[int]]] = field(default_factory=dict)
+    #: Index into the plan's events -> detection instant, for the events
+    #: this shard executed.
+    detect_times: dict[int, float] = field(default_factory=dict)
     #: Data packets physically inside this shard's links at end of run.
     end_occupancy_data: int = 0
     #: Data packets parked in owned protocols' discovery buffers.
@@ -141,17 +145,11 @@ class ShardHost:
         self.ghosts = sorted(members - owned_set)
         self.sub = sub
 
-        # --- live network (same construction order as run_scenario) --------
+        # --- live network (same construction order as run_plan) -------------
         self.sim = Simulator()
         self.bus = TraceBus(keep_routes=False, keep_links=False)
-        self.network = Network(
-            self.sim,
-            sub,
-            self.bus,
-            queue_capacity=config.queue_capacity,
-            record_paths=config.record_paths,
-            record_forwards=plan.collect_traces,
-            priority_control=config.prioritize_control,
+        self.network = build_network(
+            self.sim, sub, self.bus, config, record_forwards=plan.collect_traces
         )
 
         # --- boundary stubs on cut links ------------------------------------
@@ -215,7 +213,7 @@ class ShardHost:
             else:
                 protocol.warm_start(topo)
 
-        # --- collectors (after warm start, exactly like run_scenario) ------
+        # --- collectors (after warm start, exactly like run_plan) ----------
         out = ShardOutput(shard_index=plan.shard_index)
         self.output = out
         for node_id in self.owned:
@@ -255,12 +253,15 @@ class ShardHost:
         scheduler = LinkScheduler(
             self.sim, self.network, detection_delay=config.detection_delay
         )
-        local_events = tuple(
-            replace(event)  # private copies: LinkEvent is mutable
-            for event in plan.events
+        local = {
+            index: replace(event)  # private copies: LinkEvent is mutable
+            for index, event in enumerate(plan.events)
             if sub.has_link(event.a, event.b)
-        )
-        scheduler.run_driver(ScriptedDriver(local_events), until=plan.end_at)
+        }
+        scheduler.run_driver(ScriptedDriver(tuple(local.values())), until=plan.end_at)
+        out.detect_times = {
+            index: scheduler.detect_time(event) for index, event in local.items()
+        }
 
         # --- progress accounting (heartbeats) -------------------------------
         # Cumulative counters harvested into a ShardHeartbeat on every

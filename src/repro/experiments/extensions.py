@@ -14,25 +14,26 @@ here on the same substrate and harness:
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from typing import Optional
 
 from ..metrics.counters import DropCounter
 from ..net.dynamics import LinkScheduler
-from ..net.network import Network
-from ..sim.engine import Simulator
 from ..sim.rng import RngStreams
-from ..sim.tracing import TraceBus
 from ..topology.generators import attach_host, random_regular
-from ..topology.graph import Topology
 from ..topology.mesh import regular_mesh
-from ..traffic.cbr import CbrSource
-from ..traffic.flows import FlowSpec
-from ..traffic.sink import PacketSink
 from ..traffic.transport import ReliableReceiver, ReliableSender, TransportConfig, TransportStats
 from .config import ExperimentConfig
-from .scenario import make_protocol_factory
+from .scenario import (
+    ScenarioResult,
+    failure_plan,
+    mesh_endpoints,
+    mesh_layout,
+    on_path_layout,
+    run_plan,
+    start_cbr,
+    warm_network,
+)
 
 __all__ = [
     "FlowOutcome",
@@ -96,24 +97,6 @@ class MultiFlowResult:
         return min((f.delivery_ratio for f in self.flows), default=0.0)
 
 
-def _build_network(
-    protocol: str,
-    topo: Topology,
-    rng_streams: RngStreams,
-    config: ExperimentConfig,
-) -> tuple[Simulator, Network]:
-    sim = Simulator()
-    bus = TraceBus(keep_routes=False)
-    network = Network(sim, topo, bus, queue_capacity=config.queue_capacity)
-    network.attach_protocols(
-        make_protocol_factory(protocol, network, rng_streams, topo, config)
-    )
-    for node in network.iter_nodes():
-        assert node.protocol is not None
-        node.protocol.warm_start(topo)
-    return sim, network
-
-
 def run_multiflow_scenario(
     protocol: str,
     degree: int,
@@ -136,17 +119,12 @@ def run_multiflow_scenario(
         raise ValueError("need at least one flow and one failure")
     if n_failures > n_flows:
         raise ValueError("at most one failure per flow's path")
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("multiflow")
+    rng = RngStreams(seed).stream("multiflow")
 
     topo = regular_mesh(config.rows, config.cols, degree)
-    pairs: list[tuple[int, int]] = []
-    for _ in range(n_flows):
-        sender = attach_host(topo, rng.randrange(0, config.cols))
-        receiver = attach_host(
-            topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
-        )
-        pairs.append((sender, receiver))
+    pairs = [
+        mesh_endpoints(topo, rng, config.rows, config.cols) for _ in range(n_flows)
+    ]
 
     # Choose one mesh link on each targeted flow's shortest path; reject
     # duplicates so failures are distinct.
@@ -164,28 +142,16 @@ def run_multiflow_scenario(
         if candidates:
             failed.append(rng.choice(candidates))
 
-    sim, network = _build_network(protocol, topo, rng_streams, config)
+    sim, network = warm_network(protocol, topo, seed, config)
     drop_counter = DropCounter(network.bus, window_start=config.fail_time)
 
-    sinks: list[PacketSink] = []
-    sources: list[CbrSource] = []
-    for flow_id, (sender, receiver) in enumerate(pairs, start=1):
-        sink = PacketSink(flow_id=flow_id, ttl_at_send=config.ttl)
-        network.node(receiver).attach_app(sink)
-        sinks.append(sink)
-        spec = FlowSpec(
-            flow_id=flow_id,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=config.end_time,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
+    flows = [
+        start_cbr(
+            sim, network, config, sender, receiver,
+            config.traffic_start, config.end_time, flow_id=flow_id,
         )
-        source = CbrSource(sim, network, spec)
-        source.start()
-        sources.append(source)
+        for flow_id, (sender, receiver) in enumerate(pairs, start=1)
+    ]
 
     injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
     for i, (a, b) in enumerate(failed):
@@ -201,8 +167,8 @@ def run_multiflow_scenario(
         drops_no_route=drop_counter.no_route,
         drops_ttl=drop_counter.ttl_expired,
     )
-    for flow_id, ((sender, receiver), source, sink) in enumerate(
-        zip(pairs, sources, sinks), start=1
+    for flow_id, ((sender, receiver), (sink, source)) in enumerate(
+        zip(pairs, flows), start=1
     ):
         result.flows.append(
             FlowOutcome(
@@ -256,23 +222,10 @@ def run_transport_scenario(
     """
     config = config or ExperimentConfig.quick()
     transport = transport or TransportConfig()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
+    layout = mesh_layout(config, degree, seed)
+    sender, receiver, failed = layout.sender, layout.receiver, layout.failed
 
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender = attach_host(topo, rng.randrange(0, config.cols))
-    receiver = attach_host(
-        topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
-    )
-    path = topo.shortest_path(sender, receiver)
-    assert path is not None
-    mesh_edges = [
-        (path[i], path[i + 1])
-        for i in range(1, len(path) - 2)
-    ]
-    failed = rng.choice(mesh_edges)
-
-    sim, network = _build_network(protocol, topo, rng_streams, config)
+    sim, network = warm_network(protocol, layout.topology, seed, config)
     ReliableReceiver(network, receiver, sender, flow_id=1, config=transport)
     tx = ReliableSender(
         sim, network, sender, receiver, flow_id=1,
@@ -357,44 +310,18 @@ def run_repair_scenario(
     from ..metrics.convergence import ConvergenceTracker
 
     config = config or ExperimentConfig.quick()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
+    layout = mesh_layout(config, degree, seed)
+    sender, receiver, failed = layout.sender, layout.receiver, layout.failed
 
-    topo = regular_mesh(config.rows, config.cols, degree)
-    sender = attach_host(topo, rng.randrange(0, config.cols))
-    receiver = attach_host(
-        topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
-    )
-    pre_path = topo.shortest_path(sender, receiver)
-    assert pre_path is not None
-    mesh_edges = [
-        (pre_path[i], pre_path[i + 1]) for i in range(1, len(pre_path) - 2)
-    ]
-    failed = rng.choice(mesh_edges)
-
-    sim, network = _build_network(protocol, topo, rng_streams, config)
+    sim, network = warm_network(protocol, layout.topology, seed, config)
     tracker = ConvergenceTracker(network.bus, dest=receiver, src=sender)
     tracker.seed_from_network(network)
     drop_counter = DropCounter(network.bus, window_start=config.fail_time)
 
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
     end_at = config.fail_time + repair_after + config.post_fail_window
-    source = CbrSource(
-        sim,
-        network,
-        FlowSpec(
-            flow_id=1,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=end_at,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
-        ),
+    sink, source = start_cbr(
+        sim, network, config, sender, receiver, config.traffic_start, end_at
     )
-    source.start()
     injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
     injector.fail_link(failed[0], failed[1], at=config.fail_time)
     repair_at = config.fail_time + repair_after
@@ -403,7 +330,7 @@ def run_repair_scenario(
 
     redetect_at = repair_at + config.detection_delay
     # When did the walked path regain its pre-failure (shortest) length?
-    shortest_len = len(pre_path)
+    shortest_len = len(layout.pre_path)
     restoration: Optional[float] = None
     for snap in tracker.snapshots:
         if (
@@ -468,14 +395,10 @@ def run_node_failure_scenario(
     other failure mode).  A random interior path router crashes — all its
     links die at once, a much larger perturbation than a single link."""
     config = config or ExperimentConfig.quick()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
+    rng = RngStreams(seed).stream("scenario")
 
     topo = regular_mesh(config.rows, config.cols, degree)
-    sender = attach_host(topo, rng.randrange(0, config.cols))
-    receiver = attach_host(
-        topo, (config.rows - 1) * config.cols + rng.randrange(0, config.cols)
-    )
+    sender, receiver = mesh_endpoints(topo, rng, config.rows, config.cols)
     path = topo.shortest_path(sender, receiver)
     assert path is not None
     # Interior path routers: exclude the hosts and their access routers (a
@@ -485,25 +408,11 @@ def run_node_failure_scenario(
         raise ValueError("path too short for an interior node failure")
     failed_node = rng.choice(candidates)
 
-    sim, network = _build_network(protocol, topo, rng_streams, config)
+    sim, network = warm_network(protocol, topo, seed, config)
     drop_counter = DropCounter(network.bus, window_start=config.fail_time)
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
-    source = CbrSource(
-        sim,
-        network,
-        FlowSpec(
-            flow_id=1,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=config.end_time,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
-        ),
+    sink, source = start_cbr(
+        sim, network, config, sender, receiver, config.traffic_start, config.end_time
     )
-    source.start()
     injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
     injector.fail_node(failed_node, at=config.fail_time)
     sim.run(until=config.end_time)
@@ -535,24 +444,17 @@ def run_random_topology_scenario(
     seed: int,
     config: Optional[ExperimentConfig] = None,
     n_nodes: int = 49,
-):
+) -> ScenarioResult:
     """The paper's experiment on a connected random ``degree``-regular graph.
 
-    Returns the same :class:`~repro.experiments.scenario.ScenarioResult`
-    shape as the mesh experiment, so results are directly comparable; used to
-    check that the degree findings are not lattice artifacts.
+    A plan constructor: only the layout differs from the mesh experiment
+    (endpoints on two distinct random routers), so the result has the same
+    :class:`~repro.experiments.scenario.ScenarioResult` shape, waves,
+    reordering and MANET triple included; used to check that the degree
+    findings are not lattice artifacts.
     """
-    from .scenario import (  # local import to avoid cycle noise
-        ScenarioResult,
-        TopologyEventOutcome,
-    )
-    from ..metrics.convergence import ConvergenceTracker, NetworkConvergenceWatcher
-    from ..metrics.counters import MessageCounter
-    from ..metrics.timeseries import delay_series, throughput_series
-
     config = config or ExperimentConfig.quick()
-    rng_streams = RngStreams(seed)
-    rng = rng_streams.stream("scenario")
+    rng = RngStreams(seed).stream("scenario")
 
     if (n_nodes * degree) % 2 != 0:
         n_nodes += 1  # a degree-regular graph needs an even degree sum
@@ -562,82 +464,5 @@ def run_random_topology_scenario(
     receiver_router = rng.choice([r for r in routers if r != sender_router])
     sender = attach_host(topo, sender_router)
     receiver = attach_host(topo, receiver_router)
-    pre_path = topo.shortest_path(sender, receiver)
-    assert pre_path is not None
-    mesh_edges = [
-        (pre_path[i], pre_path[i + 1]) for i in range(1, len(pre_path) - 2)
-    ]
-    if not mesh_edges:
-        # Adjacent routers: the only on-path mesh link is between them.
-        mesh_edges = [(pre_path[1], pre_path[2])]
-    failed = rng.choice(mesh_edges)
-    expected_final = topo.shortest_path(sender, receiver, exclude_link=failed)
-
-    sim, network = _build_network(protocol, topo, rng_streams, config)
-    tracker = ConvergenceTracker(network.bus, dest=receiver, src=sender)
-    tracker.seed_from_network(network)
-    net_watcher = NetworkConvergenceWatcher(network.bus)
-    drop_counter = DropCounter(network.bus, window_start=config.fail_time)
-    message_counter = MessageCounter(network.bus, window_start=config.fail_time)
-
-    sink = PacketSink(flow_id=1, ttl_at_send=config.ttl)
-    network.node(receiver).attach_app(sink)
-    source = CbrSource(
-        sim,
-        network,
-        FlowSpec(
-            flow_id=1,
-            src=sender,
-            dst=receiver,
-            rate_pps=config.rate_pps,
-            start=config.traffic_start,
-            stop=config.end_time,
-            packet_bytes=config.packet_bytes,
-            ttl=config.ttl,
-        ),
-    )
-    source.start()
-    injector = LinkScheduler(sim, network, detection_delay=config.detection_delay)
-    injector.fail_link(failed[0], failed[1], at=config.fail_time)
-    sim.run(until=config.end_time)
-
-    detect_at = config.fail_time + config.detection_delay
-    deliveries = sink.stats.deliveries
-    return ScenarioResult(
-        protocol=protocol,
-        degree=degree,
-        seed=seed,
-        sender=sender,
-        receiver=receiver,
-        initial_path=tuple(pre_path),
-        expected_final_path=tuple(expected_final) if expected_final else None,
-        events=(
-            TopologyEventOutcome(
-                kind="fail",
-                link=(min(failed), max(failed)),
-                time=config.fail_time,
-                detect_time=detect_at,
-            ),
-        ),
-        sent=source.sent,
-        delivered=sink.stats.delivered,
-        drops_no_route=drop_counter.no_route,
-        drops_ttl=drop_counter.ttl_expired,
-        drops_link_down=drop_counter.link_down,
-        drops_queue=drop_counter.queue_overflow,
-        routing_convergence=net_watcher.convergence_time(detect_at),
-        destination_convergence=tracker.routing_convergence_time(detect_at),
-        forwarding_convergence=tracker.forwarding_convergence_delay(detect_at),
-        converged_to_expected=(
-            tracker.converged_to(tuple(expected_final)) if expected_final else False
-        ),
-        transient_path_count=len(tracker.transient_paths(config.fail_time)),
-        throughput=throughput_series(
-            deliveries, config.traffic_start, config.end_time, origin=config.fail_time
-        ),
-        delay=delay_series(
-            deliveries, config.traffic_start, config.end_time, origin=config.fail_time
-        ),
-        messages=message_counter.messages,
-        withdrawals=message_counter.withdrawals,
-    )
+    layout = on_path_layout(topo, sender, receiver, rng)
+    return run_plan(failure_plan(protocol, degree, seed, config, layout))

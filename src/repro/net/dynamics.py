@@ -249,6 +249,14 @@ class LinkScheduler:
 
     # -------------------------------------------------------------- execution
 
+    def detect_time(self, event: LinkEvent) -> float:
+        """When this scheduler notifies ``event``'s endpoints.
+
+        The event's own detection delay wins; an event without one uses
+        the scheduler's default.
+        """
+        return event.time + self._resolved_delay(event)
+
     def _resolved_delay(self, event: LinkEvent) -> float:
         return (
             event.detection_delay

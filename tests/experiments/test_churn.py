@@ -43,6 +43,14 @@ class TestRunChurnScenario:
         with pytest.raises(ValueError, match="churn"):
             run_churn_scenario("dbf", 7, ExperimentConfig.quick())
 
+    def test_rejects_cold_start(self):
+        with pytest.raises(ValueError, match="cold_start"):
+            run_churn_scenario("dbf", 7, churn_config().with_(cold_start=True))
+
+    def test_rejects_shards(self):
+        with pytest.raises(ValueError, match="shards=2"):
+            run_churn_scenario("dbf", 7, churn_config().with_(shards=2))
+
     def test_produces_events_and_delivers(self):
         result = run_churn_scenario("dbf", 7, churn_config())
         assert result.degree == 0

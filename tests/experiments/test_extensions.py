@@ -89,3 +89,51 @@ class TestRandomTopology:
             for s in range(1, 6)
         )
         assert dense <= sparse
+
+    #: Pinned before random-topology runs went through the shared run_plan;
+    #: only the fields that existed then (series summarized).
+    GOLDEN = {
+        "dbf": dict(routing_convergence=0.005047999999998609,
+                    destination_convergence=0.0022159999999988855,
+                    messages=164),
+        "bgp3": dict(routing_convergence=6.093241821981554,
+                     destination_convergence=0.0035279999999993095,
+                     messages=136),
+    }
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN))
+    def test_golden_values(self, protocol):
+        r = run_random_topology_scenario(protocol, 4, 1, TINY, n_nodes=20)
+        assert (r.sender, r.receiver) == (20, 21)
+        assert r.initial_path == (20, 6, 10, 21)
+        assert r.expected_final_path == (20, 6, 7, 10, 21)
+        assert (r.sent, r.delivered) == (901, 899)
+        assert (r.drops_no_route, r.drops_ttl, r.drops_link_down, r.drops_queue) == (
+            0, 0, 1, 0,
+        )
+        assert r.forwarding_convergence == 0.0
+        assert r.converged_to_expected
+        assert r.transient_path_count == 1
+        assert r.withdrawals == 0
+        for name, value in self.GOLDEN[protocol].items():
+            assert getattr(r, name) == value, name
+        [event] = r.events
+        assert (event.kind, event.link, event.time, event.detect_time) == (
+            "fail", (6, 10), 10.0, 10.05,
+        )
+        assert (r.throughput.times[0], len(r.throughput)) == (-5.0, 45)
+        assert sum(r.throughput.values) == 899.0
+        assert r.throughput.values[8:14] == (20.0,) * 6
+        assert (r.delay.times[0], len(r.delay)) == (-5.0, 45)
+        assert sum(r.delay.values) == 0.2645999999999784
+
+    @pytest.mark.parametrize("protocol", sorted(GOLDEN))
+    def test_full_result_shape(self, protocol):
+        r = run_random_topology_scenario(protocol, 4, 1, TINY, n_nodes=20)
+        [event] = r.events
+        assert event.wave_start is not None and event.wave_end is not None
+        assert event.wave_start >= event.detect_time
+        assert r.reordering is not None
+        assert r.reordering.delivered == r.delivered
+        assert r.manet is not None
+        assert r.manet.sent == r.sent and r.manet.control_packets > 0

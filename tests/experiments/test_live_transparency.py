@@ -5,7 +5,8 @@ recorder) is that logging is harvest-only — writers read already-maintained
 counters strictly between engine events, never schedule anything, and never
 touch an RNG.  These tests pin that on the golden scenarios from
 ``test_golden_metrics.py``: dbf and bgp3 at seed 7 (fast clean recovery)
-and rip at seed 11 (slow periodic-update recovery), 1-process and 3-shard.
+and rip at seed 11 (slow periodic-update recovery), 1-process and 3-shard;
+plus one mobility-churn run, which goes through the same phased runner.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import dataclasses
 import pytest
 
 from repro.dist.runner import run_scenario_sharded
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.churn import run_churn_scenario
+from repro.experiments.config import ChurnConfig, ExperimentConfig
 from repro.experiments.runner import run_sweep
 from repro.experiments.scenario import run_scenario
 from repro.obs.live import check_log, read_log, summarize_log
@@ -56,6 +58,23 @@ def test_sharded_log_is_transparent(tmp_path, protocol, seed):
     )
     assert _fields(logged) == _fields(quiet)
     assert check_log(read_log(tmp_path / "run.log")) == []
+
+
+def test_churn_log_is_transparent(tmp_path):
+    config = ExperimentConfig.quick().with_(
+        post_fail_window=20.0,
+        churn=ChurnConfig(model="waypoint", n_nodes=10, radio_range=450.0),
+    )
+    quiet = run_churn_scenario("dbf", 7, config)
+    path = tmp_path / "churn.log"
+    logged = run_churn_scenario("dbf", 7, config, live_log=path)
+    assert _fields(logged) == _fields(quiet)
+    records = read_log(path)
+    assert check_log(records) == []
+    assert records[0]["run"] == "churn"
+    phases = [r["phase"] for r in records if r["kind"] == "heartbeat"]
+    assert phases == ["warmup", "steady", "failure", "convergence"]
+    assert summarize_log(records).ended
 
 
 def test_sweep_log_records_every_seed(tmp_path):

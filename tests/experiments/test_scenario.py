@@ -5,7 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.config import ExperimentConfig
-from repro.experiments.scenario import run_scenario
+from repro.experiments.scenario import build_network, mesh_layout, run_scenario
+from repro.sim.engine import Simulator
+from repro.sim.tracing import TraceBus
+from repro.topology import generators
 
 TINY = ExperimentConfig.quick().with_(
     rows=5, cols=5, degrees=(4,), runs=1, post_fail_window=40.0
@@ -86,3 +89,27 @@ class TestRunScenario:
         r = run_scenario("dbf", degree=4, seed=1, config=cfg)
         assert r.delivered > 0
         assert r.converged_to_expected
+
+
+class TestPipelinePieces:
+    def test_builder_passes_config_through(self):
+        config = TINY.with_(
+            queue_capacity=7, record_paths=True, prioritize_control=True
+        )
+        net = build_network(
+            Simulator(), generators.line(3), TraceBus(), config, record_forwards=True
+        )
+        for link in net.iter_links():
+            assert link.queue_capacity == 7
+            assert link.priority_control
+        for node in net.iter_nodes():
+            assert node.record_paths
+            assert node.record_forwards
+
+    def test_layout_matches_the_run(self):
+        layout = mesh_layout(TINY, 4, 2)
+        r = run_scenario("dbf", degree=4, seed=2, config=TINY)
+        assert (r.sender, r.receiver) == (layout.sender, layout.receiver)
+        assert r.initial_path == layout.pre_path
+        assert r.expected_final_path == layout.expected_final
+        assert r.failed_link == (min(layout.failed), max(layout.failed))
